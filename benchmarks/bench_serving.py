@@ -72,6 +72,7 @@ from repro.datasets.generators import generate_delta_schedule, generate_hin
 from repro.evaluation.pipeline import make_model_factory
 from repro.evaluation.timing import summarize_latencies
 from repro.serving import InferenceSession, ServingController, ServingServer
+from repro.serving.client import HttpClient, HttpResponseError, request
 
 SPEEDUP_FACTOR = 5.0
 QUEUE_DEPTH = int(os.environ.get("REPRO_BENCH_SERVE_QUEUE", "2048"))
@@ -189,19 +190,6 @@ async def hotswap_gate(controller: ServingController, seed: int) -> dict:
     # pre-draw ids so client tasks do no RNG work in the hot loop
     id_pool = rng.integers(0, num_targets, size=(4096, IDS_PER_REQUEST)).astype(np.int64)
 
-    async def request(method: str, path: str, payload: dict) -> tuple[int, dict]:
-        reader, writer = await asyncio.open_connection(host, port)
-        body = json.dumps(payload).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        head, _, response_body = raw.partition(b"\r\n\r\n")
-        return int(head.split(b" ", 2)[1]), json.loads(response_body or b"{}")
-
     async def client(worker: int) -> None:
         nonlocal failures, answered
         cursor = worker
@@ -210,17 +198,18 @@ async def hotswap_gate(controller: ServingController, seed: int) -> dict:
             cursor += CLIENTS
             start = time.perf_counter()
             try:
-                status, payload = await request(
-                    "POST", "/predict", {"nodes": ids.tolist()}
+                response = await request(
+                    host, port, "POST", "/predict", {"nodes": ids.tolist()}
                 )
-            except (ConnectionError, asyncio.IncompleteReadError):
+            except (OSError, HttpResponseError):
                 failures += 1
                 continue
             latencies.append(time.perf_counter() - start)
             answered += 1
-            if status != 200:
+            if response.status != 200:
                 failures += 1
                 continue
+            payload = response.json()
             version = payload["version"]
             reference = expected.get(version)
             if reference is None and version == controller.version:
@@ -235,10 +224,11 @@ async def hotswap_gate(controller: ServingController, seed: int) -> dict:
     swaps = []
     load_start = time.perf_counter()
     for delta in schedule:
-        status, payload = await request("POST", "/delta", delta.to_payload())
-        if status != 200:
+        response = await request(host, port, "POST", "/delta", delta.to_payload())
+        if response.status != 200:
             failures += 1
             continue
+        payload = response.json()
         expected.setdefault(payload["version"], snapshot())
         swaps.append(payload)
         print(
@@ -254,7 +244,7 @@ async def hotswap_gate(controller: ServingController, seed: int) -> dict:
     load_seconds = time.perf_counter() - load_start
     stop.set()
     await asyncio.gather(*clients, return_exceptions=True)
-    _, stats = await request("GET", "/stats", {})
+    stats = (await request(host, port, "GET", "/stats")).json()
     await server.close()
     return {
         "requests": answered,
@@ -349,29 +339,27 @@ def _tier_main(root: str, workers: int, port_file: str, snapshot_every: int) -> 
 
 def _load_main(host: str, port: int, duration: float, counter_queue) -> None:
     """Load-client entry: hammer /predict over keep-alive until the deadline."""
-    import http.client
 
-    deadline = time.monotonic() + duration
-    answered = 0
-    body = json.dumps({"nodes": list(range(8))})
-    headers = {"Content-Type": "application/json"}
-    while time.monotonic() < deadline:
-        try:
-            conn = http.client.HTTPConnection(host, port, timeout=5)
+    async def run() -> int:
+        deadline = time.monotonic() + duration
+        answered = 0
+        while time.monotonic() < deadline:
             # reconnect every 200 requests so the kernel re-balances the
             # connection across the SO_REUSEPORT acceptors
-            for _ in range(200):
-                if time.monotonic() >= deadline:
-                    break
-                conn.request("POST", "/predict", body=body, headers=headers)
-                response = conn.getresponse()
-                response.read()
-                if response.status == 200:
-                    answered += 1
-            conn.close()
-        except OSError:
-            time.sleep(0.01)
-    counter_queue.put(answered)
+            async with HttpClient(host, port) as client:
+                try:
+                    for _ in range(200):
+                        if time.monotonic() >= deadline:
+                            break
+                        response = await client.request(
+                            "POST", "/predict", {"nodes": list(range(8))}
+                        )
+                        answered += response.status == 200
+                except (OSError, HttpResponseError):
+                    await asyncio.sleep(0.01)
+        return answered
+
+    counter_queue.put(asyncio.run(run()))
 
 
 def _spawn_tier(ctx, root: Path, workers: int, *, snapshot_every: int = 0):
@@ -501,22 +489,6 @@ async def replicated_kill_phase(workers: int) -> dict:
     rng = np.random.default_rng(31)
     id_pool = rng.integers(0, num_targets, size=(1024, IDS_PER_REQUEST)).astype(np.int64)
 
-    async def request(method: str, path: str, payload: dict) -> tuple[int, dict]:
-        reader, writer = await asyncio.open_connection(host, port)
-        body = json.dumps(payload).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode()
-            + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        if not raw:
-            raise ConnectionResetError("empty response")
-        head, _, response_body = raw.partition(b"\r\n\r\n")
-        return int(head.split(b" ", 2)[1]), json.loads(response_body or b"{}")
-
     async def client(worker: int) -> None:
         nonlocal answered, dropped, stale, incorrect, retries
         cursor = worker
@@ -526,18 +498,19 @@ async def replicated_kill_phase(workers: int) -> dict:
             floor = acked_floor  # committed before this request started
             for attempt in range(30):
                 try:
-                    status, payload = await request(
-                        "POST", "/predict", {"nodes": ids.tolist()}
+                    response = await request(
+                        host, port, "POST", "/predict", {"nodes": ids.tolist()}
                     )
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
+                except (OSError, HttpResponseError):
                     retries += 1
                     await asyncio.sleep(0.02)
                     continue
-                if status != 200:
+                if response.status != 200:
                     retries += 1
                     await asyncio.sleep(0.02)
                     continue
                 answered += 1
+                payload = response.json()
                 version = payload["version"]
                 if version < floor:
                     stale += 1
@@ -559,8 +532,9 @@ async def replicated_kill_phase(workers: int) -> dict:
                 victim = server.pool._processes[1]
                 killed_pid = victim.pid
                 os.kill(victim.pid, _signal.SIGKILL)
-            status, payload = await request("POST", "/delta", delta.to_payload())
-            if status != 200:
+            response = await request(host, port, "POST", "/delta", delta.to_payload())
+            payload = response.json()
+            if response.status != 200:
                 raise RuntimeError(f"delta {index} failed: {payload}")
             expected[payload["version"]] = snapshot()
             acked_floor = payload["version"]
@@ -608,20 +582,12 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     tier_root = root / "recovery"
     proc, host, port, tier_pid = _spawn_tier(ctx, tier_root, workers, snapshot_every=2)
     try:
-        import http.client
-
-        conn = http.client.HTTPConnection(host, port, timeout=120)
         for delta in schedule:
             mirror.apply_delta(delta)
-            conn.request(
-                "POST", "/delta", body=json.dumps(delta.to_payload()),
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            payload = json.loads(response.read())
+            response = asyncio.run(request(host, port, "POST", "/delta", delta.to_payload()))
+            payload = response.json()
             if response.status != 200:
                 raise RuntimeError(f"delta failed: {payload}")
-        conn.close()
         assert payload["version"] == mirror.version, "tier/mirror diverged pre-kill"
     finally:
         print(f"kill -9 coordinator (pid {tier_pid}) after {len(schedule)} deltas")
@@ -632,19 +598,11 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     proc, host, port, _ = _spawn_tier(ctx, tier_root, workers, snapshot_every=2)
     recovery_seconds = time.monotonic() - restart_start
     try:
-        import http.client
-
         all_ids = np.arange(mirror.session.num_targets, dtype=np.int64)
         expected_labels = mirror.session.predict(all_ids)
-        conn = http.client.HTTPConnection(host, port, timeout=120)
-        conn.request(
-            "POST", "/predict",
-            body=json.dumps({"nodes": all_ids.tolist()}),
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        payload = json.loads(response.read())
-        conn.close()
+        query = {"nodes": all_ids.tolist()}
+        response = asyncio.run(request(host, port, "POST", "/predict", query))
+        payload = response.json()
         if response.status != 200:
             raise RuntimeError(f"post-recovery predict failed: {payload}")
         predictions_identical = payload["labels"] == expected_labels.tolist()
@@ -749,25 +707,6 @@ async def replicated_chaos_phase(workers: int) -> dict:
     rng = np.random.default_rng(59)
     id_pool = rng.integers(0, num_targets, size=(1024, IDS_PER_REQUEST)).astype(np.int64)
 
-    async def raw_request(method: str, path: str, body: bytes) -> tuple[int, bytes]:
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode()
-            + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        if not raw:
-            raise ConnectionResetError("empty response")
-        head, _, payload = raw.partition(b"\r\n\r\n")
-        return int(head.split(b" ", 2)[1]), payload
-
-    async def request(method: str, path: str, payload: dict) -> tuple[int, dict]:
-        status, body = await raw_request(method, path, json.dumps(payload).encode())
-        return status, json.loads(body or b"{}")
-
     async def client(worker: int) -> None:
         nonlocal answered, dropped, garbage, retries
         cursor = worker
@@ -776,18 +715,19 @@ async def replicated_chaos_phase(workers: int) -> dict:
             cursor += CLIENTS
             for _ in range(50):
                 try:
-                    status, payload = await request(
-                        "POST", "/predict", {"nodes": ids.tolist()}
+                    response = await request(
+                        host, port, "POST", "/predict", {"nodes": ids.tolist()}
                     )
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
+                except (OSError, HttpResponseError):
                     retries += 1
                     await asyncio.sleep(0.02)
                     continue
-                if status != 200:
+                if response.status != 200:
                     retries += 1
                     await asyncio.sleep(0.02)
                     continue
                 answered += 1
+                payload = response.json()
                 # Zero-garbage contract: a degraded (last-good) version is
                 # acceptable, but the labels must byte-match the snapshot of
                 # whichever version the response claims.  A version not yet
@@ -806,8 +746,9 @@ async def replicated_chaos_phase(workers: int) -> dict:
                 dropped += 1
 
     async def commit(delta) -> dict:
-        status, payload = await request("POST", "/delta", delta.to_payload())
-        if status != 200:
+        response = await request(host, port, "POST", "/delta", delta.to_payload())
+        payload = response.json()
+        if response.status != 200:
             raise RuntimeError(f"clean delta failed: {payload}")
         expected[payload["version"]] = snapshot()
         return payload
@@ -826,7 +767,8 @@ async def replicated_chaos_phase(workers: int) -> dict:
             edge_churn=0.0005, relations=("paper-term",),
         )[0]
         injector.plan("canary.force_reject", every=1, limit=1)
-        status, payload = await request("POST", "/delta", reject_delta.to_payload())
+        response = await request(host, port, "POST", "/delta", reject_delta.to_payload())
+        status, payload = response.status, response.json()
         if status != 422 or not payload.get("rolled_back"):
             raise RuntimeError(f"canary rejection not surfaced: {status} {payload}")
         print(
@@ -842,7 +784,8 @@ async def replicated_chaos_phase(workers: int) -> dict:
             edge_churn=0.0005, relations=("paper-term",),
         )[0]
         injector.plan("hotswap.poison_commit", every=1, limit=1)
-        status, payload = await request("POST", "/delta", poison_delta.to_payload())
+        response = await request(host, port, "POST", "/delta", poison_delta.to_payload())
+        status, payload = response.status, response.json()
         if status != 422 or not payload.get("quarantined"):
             raise RuntimeError(f"poison delta not quarantined: {status} {payload}")
         print(
@@ -926,8 +869,8 @@ async def replicated_chaos_phase(workers: int) -> dict:
         await asyncio.gather(*clients, return_exceptions=True)
 
     # -- the /metrics page must tell the whole story ----------------------- #
-    status, metrics_body = await raw_request("GET", "/metrics", b"")
-    metrics_page = metrics_body.decode("utf-8", "replace")
+    metrics = await request(host, port, "GET", "/metrics")
+    metrics_page = metrics.body.decode("utf-8", "replace")
     for needle in (
         "repro_quarantined_deltas_total 2",
         "repro_canary_rejections_total 1",
@@ -938,7 +881,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
     ):
         if needle not in metrics_page:
             raise RuntimeError(f"/metrics is missing {needle!r}")
-    metrics_ok = status == 200
+    metrics_ok = metrics.status == 200
 
     wal_path = server.config.wal_path
     deadletter = read_deadletter(wal_path)

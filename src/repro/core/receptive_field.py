@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: strategies accepted by :func:`greedy_max_coverage`
-_METHODS = ("auto", "decremental", "celf", "eager")
+_METHODS = ("auto", "decremental", "celf")
 
 #: mean receptive-field size above which ``method="auto"`` prefers batched
 #: CELF over the decremental kernel: the decremental update walks the full
@@ -68,7 +68,6 @@ def greedy_max_coverage(
     pool: np.ndarray,
     budget: int,
     *,
-    lazy: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
     method: str = "auto",
 ) -> CoverageResult:
@@ -94,17 +93,14 @@ def greedy_max_coverage(
         ``V_train`` of Algorithm 1).
     budget:
         Maximum number of nodes to select (``B`` in Eq. 2).
-    lazy:
-        Back-compat switch: ``lazy=False`` forces the eager strategy that
-        re-evaluates every remaining candidate each round.
     batch_size:
         Stale entries re-evaluated per vectorized pass by the batched CELF
         strategy.
     method:
         ``"auto"`` (default) picks the decremental inverted-index kernel
         for sparse receptive fields and batched CELF for dense ones (mean
-        row size above ~48) or packed-only input; ``"decremental"``,
-        ``"celf"`` and ``"eager"`` force a specific kernel.
+        row size above ~48) or packed-only input; ``"decremental"`` and
+        ``"celf"`` force a specific kernel.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -116,9 +112,7 @@ def greedy_max_coverage(
         packed, csr = None, sp.csr_matrix(np.asarray(adjacency))
 
     if method == "auto":
-        if not lazy:
-            method = "eager"
-        elif csr is None:
+        if csr is None:
             method = "celf"
         else:
             mean_row_size = csr.nnz / max(csr.shape[0], 1)
@@ -132,6 +126,4 @@ def greedy_max_coverage(
         return greedy_max_coverage_decremental(csr, pool, budget)
     if packed is None:
         packed = PackedAdjacency.from_csr_cached(csr)
-    return greedy_max_coverage_packed(
-        packed, pool, budget, lazy=(method != "eager"), batch_size=batch_size
-    )
+    return greedy_max_coverage_packed(packed, pool, budget, batch_size=batch_size)

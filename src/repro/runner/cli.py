@@ -44,6 +44,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -86,6 +87,12 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in _csv(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}") from exc
+
+
+def _config_from_args(config_class, args: argparse.Namespace, **overrides):
+    """Build a ``*Config`` dataclass from the parsed flags named after its fields."""
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(config_class)}
+    return config_class(**{**values, **overrides})
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -187,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-step churned edge fraction per relation (default: 0.002)")
     sched.add_argument("--relations", type=_csv, default=None, metavar="R1,R2,...",
                        help="relations to churn (default: all)")
-    sched.add_argument("--arrivals-every", type=int, default=0, metavar="N",
-                       help="insert nodes every N steps (default: 0, disabled)")
+    sched.add_argument("--arrivals-every", dest="node_arrival_every", type=int, default=0,
+                       metavar="N", help="insert nodes every N steps (default: 0, disabled)")
     sched.add_argument("--arrival-count", type=int, default=4,
                        help="nodes inserted per type per arrival step (default: 4)")
-    sched.add_argument("--removals-every", type=int, default=0, metavar="N",
-                       help="tombstone nodes every N steps (default: 0, disabled)")
+    sched.add_argument("--removals-every", dest="removal_every", type=int, default=0,
+                       metavar="N", help="tombstone nodes every N steps (default: 0, disabled)")
     sched.add_argument("--removal-count", type=int, default=2,
                        help="nodes tombstoned per type per removal step (default: 2)")
     cond = stream.add_argument_group("condensation")
@@ -663,26 +670,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.evaluation.protocol import train_on_condensed
     from repro.streaming import IncrementalCondenser, graphs_equal
 
-    config = StreamConfig(
-        dataset=args.dataset,
-        ratio=args.ratio,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        edge_churn=args.edge_churn,
-        relations=args.relations,
-        node_arrival_every=args.arrivals_every,
-        arrival_count=args.arrival_count,
-        removal_every=args.removals_every,
-        removal_count=args.removal_count,
-        recondense_threshold=args.recondense_threshold,
-        verify_every=args.verify_every,
-        eval_every=args.eval_every,
-        model=args.model,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-    )
+    config = _config_from_args(StreamConfig, args)
     entry = registry.datasets.get(config.dataset)
     graph = entry.loader(scale=config.scale, seed=config.seed)
     max_hops = config.resolved_max_hops()
@@ -829,22 +817,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         run_matrix,
     )
 
-    config = MatrixConfig(
-        datasets=args.datasets,
-        scales=args.scales,
-        regimes=args.regimes if args.regimes is not None else churn_regimes(),
-        loads=args.loads,
-        steps=args.steps,
-        ratio=args.ratio,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        recondense_threshold=args.recondense_threshold,
-        verify_every=args.verify_every,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-        model=args.model,
-        inject_faults=args.inject_faults,
-    )
+    regimes = args.regimes if args.regimes is not None else churn_regimes()
+    config = _config_from_args(MatrixConfig, args, regimes=regimes)
     plan = plan_matrix(config)
     store = _resolve_store(args)
     gates = () if args.no_gates else derive_matrix_gates(args.baselines)
@@ -925,28 +899,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.evaluation.pipeline import make_model_factory
     from repro.serving import ModelStore, ServingController, ServingServer
 
-    config = ServeConfig(
-        dataset=args.dataset,
-        ratio=args.ratio,
-        scale=args.scale,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        model=args.model,
-        hidden_dim=args.hidden_dim,
-        epochs=args.epochs,
-        recondense_threshold=args.recondense_threshold,
-        cache_size=args.cache_size,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        host=args.host,
-        port=args.port,
-        bundle_store=args.bundle_store,
-        workers=args.workers,
-        wal=args.wal,
-        snapshot_every=args.snapshot_every,
-        max_pending=args.max_pending,
-        max_body_bytes=args.max_body_bytes,
-    )
+    config = _config_from_args(ServeConfig, args)
 
     def log(message: str) -> None:
         if not args.quiet:
@@ -1133,11 +1086,11 @@ async def _serve_selftest(server, controller, config: ServeConfig, steps: int, l
     response.
     """
     import asyncio
-    import json as _json
 
     import numpy as np
 
     from repro.datasets.generators import generate_delta_schedule
+    from repro.serving.client import request
 
     host, port = await server.start()
     log(f"selftest server on http://{host}:{port}")
@@ -1156,29 +1109,16 @@ async def _serve_selftest(server, controller, config: ServeConfig, steps: int, l
     failures = 0
     answered = 0
 
-    async def request(method: str, path: str, payload: dict | None = None) -> dict:
-        reader, writer = await asyncio.open_connection(host, port)
-        body = _json.dumps(payload or {}).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        head, _, response_body = raw.partition(b"\r\n\r\n")
-        status = int(head.split(b" ", 2)[1])
-        return {"http_status": status, "body": _json.loads(response_body or b"{}")}
-
     async def verified_predict() -> None:
         nonlocal failures, answered
         ids = rng.choice(num_targets, size=min(16, num_targets), replace=False)
-        response = await request("POST", "/predict", {"nodes": ids.tolist()})
+        response = await request(host, port, "POST", "/predict", {"nodes": ids.tolist()})
         answered += 1
-        if response["http_status"] != 200:
+        if response.status != 200:
             failures += 1
             return
-        version = response["body"]["version"]
+        body = response.json()
+        version = body["version"]
         reference = expected.get(version)
         if reference is None and version == controller.version:
             # A swap can land between our done() check and this response;
@@ -1186,24 +1126,24 @@ async def _serve_selftest(server, controller, config: ServeConfig, steps: int, l
             reference = snapshot()
             expected[version] = reference
         if reference is None or not np.array_equal(
-            np.asarray(response["body"]["labels"]), reference[ids]
+            np.asarray(body["labels"]), reference[ids]
         ):
             failures += 1
 
-    health = await request("GET", "/healthz")
-    if health["http_status"] != 200 or health["body"].get("status") != "ok":
+    health = await request(host, port, "GET", "/healthz")
+    if health.status != 200 or health.json().get("status") != "ok":
         failures += 1
     for delta in schedule:
         swap_task = asyncio.create_task(
-            request("POST", "/delta", delta.to_payload())
+            request(host, port, "POST", "/delta", delta.to_payload())
         )
         while not swap_task.done():
             await asyncio.gather(*(verified_predict() for _ in range(8)))
         swap = await swap_task
-        if swap["http_status"] != 200:
+        if swap.status != 200:
             failures += 1
             continue
-        swapped = swap["body"]
+        swapped = swap.json()
         expected.setdefault(swapped["version"], snapshot())
         log(
             f"step {swapped['step']}: version {swapped['version']} "
@@ -1211,9 +1151,9 @@ async def _serve_selftest(server, controller, config: ServeConfig, steps: int, l
             f"({answered} verified requests so far)"
         )
         await asyncio.gather(*(verified_predict() for _ in range(8)))
-    stats = await request("GET", "/stats")
+    stats = (await request(host, port, "GET", "/stats")).json()
     await server.close()
-    latency = stats["body"].get("latency", {})
+    latency = stats.get("latency", {})
     log(
         f"selftest: {answered} requests, {failures} failures, "
         f"p50={latency.get('p50', 0) * 1e3:.2f}ms p95={latency.get('p95', 0) * 1e3:.2f}ms"

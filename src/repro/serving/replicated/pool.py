@@ -61,7 +61,7 @@ import numpy as np
 from repro import obs
 from repro.errors import IntegrityError, ServingError
 from repro.obs.propagate import inject_headers
-from repro.serving import integrity
+from repro.serving import client, integrity
 from repro.serving.artifacts import ModelBundle, save_bundle
 from repro.utils import faults
 from repro.serving.engine import InferenceSession
@@ -337,7 +337,9 @@ async def forward_delta(
     looks exactly like a refused connection, and a bounded retry absorbs
     it.  When every attempt fails the worker answers a structured *degraded*
     503 (``degraded``/``attempts``/``retry_after_seconds``) and keeps
-    serving reads: losing the writer never takes down the read path.
+    serving reads: losing the writer never takes down the read path.  An
+    empty, garbled or truncated coordinator response is a 502 and is not
+    retried, because the delta may already be applied.
     """
     if seed is None:
         seed = os.getpid()
@@ -345,46 +347,19 @@ async def forward_delta(
         max(0, attempts - 1), base=base_delay, cap=max_delay, jitter=jitter, seed=seed
     )
     failure: dict = {"error": "coordinator unreachable"}
-    # Carry the worker's serve.delta span across the hop: the coordinator's
-    # read_http_request decodes this header and parents commit.delta to it.
-    trace_headers = "".join(
-        f"{name}: {value}\r\n" for name, value in inject_headers().items()
-    )
     for attempt in range(max(1, attempts)):
         if attempt:
             await asyncio.sleep(delays[attempt - 1])
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            # Carry the worker's serve.delta span across the hop: the
+            # coordinator's read_http_request decodes this header and
+            # parents commit.delta to it.
+            response = await client.request(host, port, "POST", "/delta", body, inject_headers())
+            return response.status, response.json()
         except OSError as exc:
             failure = {"error": f"coordinator unreachable: {exc}"}
-            continue
-        try:
-            writer.write(
-                (
-                    f"POST /delta HTTP/1.1\r\nHost: {host}\r\n"
-                    f"Content-Length: {len(body)}\r\n{trace_headers}"
-                    "Connection: close\r\n\r\n"
-                ).encode("latin-1")
-                + body
-            )
-            await writer.drain()
-            raw = await reader.read()
-        except (OSError, asyncio.IncompleteReadError) as exc:
-            failure = {"error": f"coordinator connection failed: {exc}"}
-            continue
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        head, _, payload = raw.partition(b"\r\n\r\n")
-        try:
-            status = int(head.split(b" ", 2)[1])
-            decoded = json.loads(payload.decode("utf-8") or "{}")
-        except (IndexError, ValueError, json.JSONDecodeError):
+        except (client.HttpResponseError, ValueError):
             return 502, {"error": "unparseable coordinator response"}
-        return status, decoded
     failure.update(
         {
             "degraded": True,

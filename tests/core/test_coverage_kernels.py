@@ -104,11 +104,9 @@ class TestKernelEquivalence:
         for result in [
             greedy_max_coverage_reference(matrix, pool, budget, lazy=False),
             greedy_max_coverage_decremental(matrix, pool, budget),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=True),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=False),
+            greedy_max_coverage_packed(packed, pool, budget),
             greedy_max_coverage(matrix, pool, budget),
             greedy_max_coverage(packed, pool, budget, method="celf"),
-            greedy_max_coverage(packed, pool, budget, method="eager"),
         ]:
             assert_same_result(result, reference)
 
@@ -128,7 +126,7 @@ class TestKernelEquivalence:
         dense[3, [0, 1, 2]] = 1.0
         dense[4, [5]] = 1.0
         matrix = sp.csr_matrix(dense)
-        for method in ("decremental", "celf", "eager"):
+        for method in ("decremental", "celf"):
             result = greedy_max_coverage(matrix, np.arange(5), 2, method=method)
             assert result.selected.tolist() == [1, 4]
 
@@ -158,7 +156,7 @@ class TestKernelEquivalence:
     def test_all_zero_gain_selects_single_node(self):
         matrix = sp.csr_matrix((4, 6))
         reference = greedy_max_coverage_reference(matrix, np.arange(4), 3)
-        for method in ("decremental", "celf", "eager"):
+        for method in ("decremental", "celf"):
             result = greedy_max_coverage(matrix, np.arange(4), 3, method=method)
             assert_same_result(result, reference)
         assert reference.selected.tolist() == [0]

@@ -129,7 +129,7 @@ class TestCoverageProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel equivalence: lazy CELF == eager greedy == packed bitset == decremental
+# Kernel equivalence: reference CELF == reference eager == packed CELF == decremental
 # --------------------------------------------------------------------------- #
 class TestCoverageKernelEquivalence:
     """Every coverage strategy must return the byte-identical greedy run."""
@@ -149,8 +149,7 @@ class TestCoverageKernelEquivalence:
         others = [
             greedy_max_coverage_reference(matrix, pool, budget, lazy=False),
             greedy_max_coverage_decremental(matrix, pool, budget),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=True, batch_size=2),
-            greedy_max_coverage_packed(packed, pool, budget, lazy=False),
+            greedy_max_coverage_packed(packed, pool, budget, batch_size=2),
             greedy_max_coverage(matrix, pool, budget),
         ]
         for result in others:

@@ -131,6 +131,26 @@ class TestForwardDelta:
         assert status == 502
         assert "unparseable" in payload["error"]
 
+    def test_truncated_coordinator_response_is_a_502_without_retry(self):
+        connections = []
+
+        async def run():
+            async def serve(reader, writer):
+                connections.append(writer)
+                await reader.read(65536)
+                # Cut mid-body: the delta may already be applied.
+                writer.write(canned_response({"version": 9})[:-3])
+                writer.close()
+
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                return await forward_delta("127.0.0.1", port, b"{}", attempts=3, seed=0)
+
+        status, payload = asyncio.run(run())
+        assert (status, len(connections)) == (502, 1)
+        assert "unparseable" in payload["error"]
+
 
 class _SinkWriter:
     def __init__(self):

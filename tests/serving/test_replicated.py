@@ -16,6 +16,7 @@ from repro.datasets import load_acm
 from repro.errors import ReproError, ServingError, WALError
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import ServingController
+from repro.serving.client import request
 from repro.serving.replicated import ReplicatedConfig, ReplicatedServer, recover_from_wal
 from repro.serving.replicated.pool import (
     current_version,
@@ -222,20 +223,10 @@ class TestWALRecovery:
 # Live pool integration (spawns real worker processes)
 # ---------------------------------------------------------------------- #
 async def http(host, port, method, path, payload=None):
-    reader, writer = await asyncio.open_connection(host, port)
-    body = json.dumps(payload or {}).encode()
-    writer.write(
-        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    head, _, response_body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    if b"application/json" in head:
-        return status, json.loads(response_body or b"{}")
-    return status, response_body.decode()
+    response = await request(host, port, method, path, payload)
+    if response.content_type == "application/json":
+        return response.status, response.json()
+    return response.status, response.body.decode()
 
 
 async def wait_for(predicate, *, timeout=30.0, interval=0.05, message="condition"):

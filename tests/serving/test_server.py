@@ -12,6 +12,7 @@ from repro.core.condenser import FreeHGC
 from repro.datasets import load_acm
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import MicroBatcher, ServingController, ServingServer
+from repro.serving.client import HttpClient, request
 from repro.streaming import GraphDelta
 
 
@@ -33,17 +34,8 @@ def controller():
 
 
 async def http(host, port, method, path, payload=None):
-    reader, writer = await asyncio.open_connection(host, port)
-    body = json.dumps(payload or {}).encode()
-    writer.write(
-        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    head, _, response_body = raw.partition(b"\r\n\r\n")
-    return int(head.split(b" ", 2)[1]), json.loads(response_body or b"{}")
+    response = await request(host, port, method, path, payload)
+    return response.status, response.json()
 
 
 def run_with_server(controller, coroutine_factory):
@@ -138,17 +130,7 @@ class TestEndpoints:
 
     def test_bad_json_400(self, controller):
         async def scenario(server, host, port):
-            reader, writer = await asyncio.open_connection(host, port)
-            body = b"{not json"
-            writer.write(
-                f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}"
-                f"\r\nConnection: close\r\n\r\n".encode() + body
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            head, _, response_body = raw.partition(b"\r\n\r\n")
-            return int(head.split(b" ", 2)[1]), json.loads(response_body)
+            return await http(host, port, "POST", "/predict", b"{not json")
 
         status, payload = run_with_server(controller, scenario)
         assert status == 400 and "error" in payload
@@ -188,30 +170,15 @@ class TestEndpoints:
 
     def test_keep_alive_multiple_requests_one_connection(self, controller):
         async def scenario(server, host, port):
-            reader, writer = await asyncio.open_connection(host, port)
-            statuses = []
-            for _ in range(3):
-                body = json.dumps({"nodes": [0]}).encode()
-                writer.write(
-                    f"POST /predict HTTP/1.1\r\nHost: x\r\n"
-                    f"Content-Length: {len(body)}\r\n\r\n".encode() + body
-                )
-                await writer.drain()
-                head = await reader.readuntil(b"\r\n\r\n")
-                length = int(
-                    [
-                        line.split(b":")[1]
-                        for line in head.split(b"\r\n")
-                        if line.lower().startswith(b"content-length")
-                    ][0]
-                )
-                payload = json.loads(await reader.readexactly(length))
-                statuses.append((int(head.split(b" ", 2)[1]), payload))
-            writer.close()
-            return statuses
+            async with HttpClient(host, port) as client:
+                statuses = []
+                for _ in range(3):
+                    response = await client.request("POST", "/predict", {"nodes": [0]})
+                    statuses.append(response.status)
+                return statuses
 
         statuses = run_with_server(controller, scenario)
-        assert [s for s, _ in statuses] == [200, 200, 200]
+        assert statuses == [200, 200, 200]
 
 
 class TestMicroBatcherUnit:
@@ -266,13 +233,7 @@ class TestRequestBounds:
     def test_oversized_declared_body_is_413(self, controller):
         async def scenario(server, host, port):
             server.max_body_bytes = 64
-            body = b"x" * 1000
-            return await raw_request(
-                host, port,
-                f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}"
-                f"\r\nConnection: close\r\n\r\n".encode(),
-                body,
-            )
+            return await http(host, port, "POST", "/predict", b"x" * 1000)
 
         status, payload = run_with_server(controller, scenario)
         assert status == 413 and "error" in payload
@@ -366,18 +327,12 @@ class TestAdmissionAndMetrics:
     def test_metrics_endpoint_serves_prometheus_text(self, controller):
         async def scenario(server, host, port):
             await http(host, port, "POST", "/predict", {"nodes": [0]})
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            return raw
+            return await request(host, port, "GET", "/metrics")
 
-        raw = run_with_server(controller, scenario)
-        head, _, body = raw.partition(b"\r\n\r\n")
-        assert b"200" in head.split(b"\r\n", 1)[0]
-        assert b"text/plain" in head
-        page = body.decode()
+        response = run_with_server(controller, scenario)
+        assert response.status == 200
+        assert response.content_type.startswith("text/plain")
+        page = response.body.decode()
         assert 'repro_requests_total{endpoint="predict"} 1' in page
         assert 'repro_replica_up{slot="0",role="coordinator"} 1' in page
 
