@@ -351,11 +351,11 @@ def _load_main(host: str, port: int, duration: float, counter_queue) -> None:
                     for _ in range(200):
                         if time.monotonic() >= deadline:
                             break
-                        response = await client.request(
-                            "POST", "/predict", {"nodes": list(range(8))}
+                        response = await asyncio.wait_for(
+                            client.request("POST", "/predict", {"nodes": list(range(8))}), 5
                         )
                         answered += response.status == 200
-                except (OSError, HttpResponseError):
+                except (OSError, HttpResponseError, asyncio.TimeoutError):
                     await asyncio.sleep(0.01)
         return answered
 
@@ -502,10 +502,8 @@ async def replicated_kill_phase(workers: int) -> dict:
                         host, port, "POST", "/predict", {"nodes": ids.tolist()}
                     )
                 except (OSError, HttpResponseError):
-                    retries += 1
-                    await asyncio.sleep(0.02)
-                    continue
-                if response.status != 200:
+                    response = None
+                if response is None or response.status != 200:
                     retries += 1
                     await asyncio.sleep(0.02)
                     continue
@@ -532,6 +530,9 @@ async def replicated_kill_phase(workers: int) -> dict:
                 victim = server.pool._processes[1]
                 killed_pid = victim.pid
                 os.kill(victim.pid, _signal.SIGKILL)
+                # the victim's listening socket takes (and resets) connections until it is gone
+                while victim.is_alive():
+                    await asyncio.sleep(0.005)
             response = await request(host, port, "POST", "/delta", delta.to_payload())
             payload = response.json()
             if response.status != 200:
@@ -584,7 +585,9 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
     try:
         for delta in schedule:
             mirror.apply_delta(delta)
-            response = asyncio.run(request(host, port, "POST", "/delta", delta.to_payload()))
+            response = asyncio.run(
+                asyncio.wait_for(request(host, port, "POST", "/delta", delta.to_payload()), 120)
+            )
             payload = response.json()
             if response.status != 200:
                 raise RuntimeError(f"delta failed: {payload}")
@@ -601,7 +604,9 @@ def replicated_recovery_phase(ctx, root: Path, workers: int) -> dict:
         all_ids = np.arange(mirror.session.num_targets, dtype=np.int64)
         expected_labels = mirror.session.predict(all_ids)
         query = {"nodes": all_ids.tolist()}
-        response = asyncio.run(request(host, port, "POST", "/predict", query))
+        response = asyncio.run(
+            asyncio.wait_for(request(host, port, "POST", "/predict", query), 120)
+        )
         payload = response.json()
         if response.status != 200:
             raise RuntimeError(f"post-recovery predict failed: {payload}")
@@ -719,10 +724,8 @@ async def replicated_chaos_phase(workers: int) -> dict:
                         host, port, "POST", "/predict", {"nodes": ids.tolist()}
                     )
                 except (OSError, HttpResponseError):
-                    retries += 1
-                    await asyncio.sleep(0.02)
-                    continue
-                if response.status != 200:
+                    response = None
+                if response is None or response.status != 200:
                     retries += 1
                     await asyncio.sleep(0.02)
                     continue

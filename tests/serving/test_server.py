@@ -168,17 +168,24 @@ class TestEndpoints:
         status, _ = run_with_server(controller, scenario)
         assert status == 400
 
-    def test_keep_alive_multiple_requests_one_connection(self, controller):
+    def test_keep_alive_multiple_requests_one_connection(self, controller, monkeypatch):
+        connections = []
+        handle_connection = ServingServer._handle_connection
+
+        async def counting_handler(self, reader, writer):
+            connections.append(writer)
+            await handle_connection(self, reader, writer)
+
+        monkeypatch.setattr(ServingServer, "_handle_connection", counting_handler)
+
         async def scenario(server, host, port):
             async with HttpClient(host, port) as client:
-                statuses = []
-                for _ in range(3):
-                    response = await client.request("POST", "/predict", {"nodes": [0]})
-                    statuses.append(response.status)
-                return statuses
+                return [(await client.request("POST", "/predict", {"nodes": [0]})).status
+                        for _ in range(3)]
 
         statuses = run_with_server(controller, scenario)
         assert statuses == [200, 200, 200]
+        assert len(connections) == 1
 
 
 class TestMicroBatcherUnit:
