@@ -163,9 +163,7 @@ def throughput_gate(controller: ServingController, num_targets: int, rng) -> dic
 
 async def hotswap_gate(controller: ServingController, seed: int) -> dict:
     """Concurrent load through the real server during a delta replay."""
-    server = ServingServer(
-        controller, port=0, max_batch=MICRO_BATCH, batch_window_seconds=0.002
-    )
+    server = ServingServer(controller, port=0, max_batch=MICRO_BATCH)
     host, port = await server.start()
     num_targets = controller.session.num_targets
     all_ids = np.arange(num_targets, dtype=np.int64)
@@ -314,17 +312,12 @@ def _tier_main(root: str, workers: int, port_file: str, snapshot_every: int) -> 
         if workers == 0:
             controller = _make_bench_controller()
             controller.start()
-            server = ServingServer(
-                controller, port=0, max_batch=MICRO_BATCH,
-                batch_window_seconds=0.001,
-            )
+            server = ServingServer(controller, port=0, max_batch=MICRO_BATCH)
         else:
             server = ReplicatedServer(
                 _make_bench_controller,
                 config=ReplicatedConfig(
-                    root=root, port=0, workers=workers,
-                    snapshot_every=snapshot_every,
-                    batch_window_seconds=0.001,
+                    root=root, port=0, workers=workers, snapshot_every=snapshot_every
                 ),
                 genesis=GENESIS,
             )
@@ -455,9 +448,7 @@ async def replicated_kill_phase(workers: int) -> dict:
     tmp = tempfile.mkdtemp(prefix="bench-repl-kill-")
     server = ReplicatedServer(
         _make_bench_controller,
-        config=ReplicatedConfig(
-            root=tmp, port=0, workers=workers, batch_window_seconds=0.001
-        ),
+        config=ReplicatedConfig(root=tmp, port=0, workers=workers),
         genesis=GENESIS,
     )
     host, port = await server.start()
@@ -681,9 +672,7 @@ async def replicated_chaos_phase(workers: int) -> dict:
     faults.install(injector)
     server = ReplicatedServer(
         _chaos_controller,
-        config=ReplicatedConfig(
-            root=tmp, port=0, workers=workers, batch_window_seconds=0.001
-        ),
+        config=ReplicatedConfig(root=tmp, port=0, workers=workers),
         genesis=GENESIS,
     )
     host, port = await server.start()

@@ -6,8 +6,9 @@ The :mod:`repro.obs` package is the repo's end-to-end tracing substrate:
     Span/event dataclasses and the JSONL trace codec (schema v1).
 :mod:`repro.obs.tracer`
     The context-var span stack: ``span()`` context managers, ``traced()``
-    decorators and ``event()`` markers that are **branch-only no-ops**
-    until a :class:`~repro.obs.tracer.Tracer` is installed.
+    decorators, ``event()`` markers and ``annotate()`` calls that are
+    **branch-only no-ops** until a :class:`~repro.obs.tracer.Tracer` is
+    installed.
 :mod:`repro.obs.export`
     Bounded ring-buffer collection plus an append-only JSONL sink with
     fsync-on-rotate durability.
@@ -32,6 +33,7 @@ from repro.obs.spans import TRACE_SCHEMA_VERSION, Span, SpanEvent
 from repro.obs.tracer import (
     Tracer,
     active,
+    annotate,
     bootstrap_from_env,
     event,
     install,
@@ -50,6 +52,7 @@ __all__ = [
     "Tracer",
     "TRACE_SCHEMA_VERSION",
     "active",
+    "annotate",
     "bootstrap_from_env",
     "current_context",
     "event",

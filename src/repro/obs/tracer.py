@@ -1,6 +1,6 @@
 """The context-var span stack: no-op-by-default tracing primitives.
 
-Production code is instrumented with three primitives:
+Production code is instrumented with four primitives:
 
 ``with span("commit.delta", step=3):``
     Times a block and attaches attributes.
@@ -8,8 +8,10 @@ Production code is instrumented with three primitives:
     Times every call of a function.
 ``event("memo.target_hit")``
     Stamps a zero-duration marker on the innermost open span.
+``annotate(batch="main:7")``
+    Sets attributes on the innermost open span once they are known.
 
-All three are **branch-only no-ops** until a :class:`Tracer` is installed
+All four are **branch-only no-ops** until a :class:`Tracer` is installed
 (:func:`install` / :func:`tracing` / :func:`bootstrap_from_env`): the
 disabled fast path is one module-global read and a ``None`` check, no
 allocation, no contextvar access — safe to leave on the hottest paths.
@@ -40,6 +42,7 @@ from repro.obs.spans import Span, SpanEvent
 __all__ = [
     "Tracer",
     "active",
+    "annotate",
     "bootstrap_from_env",
     "event",
     "install",
@@ -289,6 +292,15 @@ def event(name: str, **attrs) -> None:
     handle = _CURRENT.get()
     if handle is not None:
         handle.add_event(str(name), attrs)
+
+
+def annotate(**attrs) -> None:
+    """Set attributes on the innermost open span, if any."""
+    if _ACTIVE is None:
+        return
+    handle = _CURRENT.get()
+    if handle is not None:
+        handle.attrs.update(attrs)
 
 
 def traced(name: str | None = None, **attrs):

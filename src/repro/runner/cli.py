@@ -248,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-size", type=int, default=4096,
                      help="LRU prediction-cache capacity, 0 disables (default: 4096)")
     srv.add_argument("--max-batch", type=int, default=256,
-                     help="micro-batch flush size (default: 256)")
-    srv.add_argument("--batch-window-ms", type=float, default=2.0,
-                     help="micro-batch flush window in ms (default: 2.0)")
+                     help="most node ids one micro-batch answers (default: 256)")
     srv.add_argument("--recondense-threshold", type=float, default=0.05,
                      help="edge fraction above which a delta recondenses from "
                           "scratch (default: 0.05)")
@@ -961,7 +959,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=config.host,
         port=config.port,
         max_batch=config.max_batch,
-        batch_window_seconds=config.batch_window_ms / 1e3,
         # selftest deltas are synthetic: persisting their bundles would
         # shadow the cold-start bundle the next deployment warm-starts from
         on_swap=None if args.selftest else persist,
@@ -1045,7 +1042,6 @@ def _serve_replicated(config: ServeConfig, log) -> int:
         max_body_bytes=config.max_body_bytes,
         cache_size=config.cache_size,
         max_batch=config.max_batch,
-        batch_window_seconds=config.batch_window_ms / 1e3,
     )
     server = ReplicatedServer(make_controller, config=replicated, genesis=genesis)
 

@@ -115,7 +115,6 @@ class ReplicatedConfig:
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     cache_size: int = 4096
     max_batch: int = 256
-    batch_window_seconds: float = 0.002
     fsync: bool = True
     #: how long the commit waits for each worker's swap ack
     ack_timeout_seconds: float = 15.0
@@ -454,7 +453,6 @@ class ReplicatedServer:
             port=self.port,
             sock=sock,
             max_batch=cfg.max_batch,
-            batch_window_seconds=cfg.batch_window_seconds,
             max_body_bytes=cfg.max_body_bytes,
             admission_capacity=cfg.max_pending,
             metrics=slot0,
@@ -484,7 +482,6 @@ class ReplicatedServer:
             "admin_port": self.admin_port,
             "cache_size": cfg.cache_size,
             "max_batch": cfg.max_batch,
-            "batch_window_seconds": cfg.batch_window_seconds,
             "max_body_bytes": cfg.max_body_bytes,
             "max_pending": cfg.max_pending,
             "fault_plans": [dict(spec) for spec in cfg.worker_fault_plans],

@@ -11,10 +11,10 @@ but real HTTP/1.1 with keep-alive and JSON bodies:
 ``POST /predict``  body ``{"nodes": [id, ...]}``
     ``{"labels": [...], "version": N}``.  Requests are **coalesced**: the
     handler enqueues the ids and awaits a shared
-    :class:`MicroBatcher`, which drains the queue every few milliseconds
-    (or once ``max_batch`` ids are pending) and answers the whole batch
-    with one vectorised :meth:`~repro.serving.engine.InferenceSession.predict`
-    call.  Each response is stamped with the session version that served it.
+    :class:`MicroBatcher`, which answers everything pending (up to
+    ``max_batch`` ids) with one vectorised, timer-free
+    :meth:`~repro.serving.engine.InferenceSession.predict` call.  Each
+    response is stamped with the session version that served it.
 ``POST /delta``  body: :meth:`repro.streaming.delta.GraphDelta.to_payload`
     Applies the delta through the controller's hot-swap path **in a worker
     thread** — the event loop keeps answering ``/predict`` from the live
@@ -47,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
@@ -183,6 +184,12 @@ async def write_http_response(
 class MicroBatcher:
     """Coalesces concurrent prediction requests into vectorised batches.
 
+    Self-clocking, like a group commit: the drain loop wakes on the first
+    pending request, yields the event loop once so handlers whose bytes
+    have already arrived can enqueue, and answers everything pending in one
+    call.  No timer is armed, so a lone request never waits; under load,
+    requests pile up while a batch computes and ride the next one together.
+
     Parameters
     ----------
     get_session:
@@ -190,23 +197,14 @@ class MicroBatcher:
         :class:`~repro.serving.engine.InferenceSession` (read once per
         drained batch, so a whole batch is answered by one session).
     max_batch:
-        Flush once this many node ids are pending.
-    window_seconds:
-        Flush after this long even when the batch is not full (the latency
-        bound a mostly-idle server adds to a lone request).
+        Stop adding requests to a batch once this many node ids are in it.
     """
 
-    def __init__(
-        self,
-        get_session,
-        *,
-        max_batch: int = 256,
-        window_seconds: float = 0.002,
-    ) -> None:
+    def __init__(self, get_session, *, max_batch: int = 256) -> None:
         self.get_session = get_session
         self.max_batch = int(max_batch)
-        self.window_seconds = float(window_seconds)
-        self._queue: asyncio.Queue = asyncio.Queue()
+        self._pending: deque = deque()
+        self._arrived = asyncio.Event()
         self._task: asyncio.Task | None = None
         self.batches_served = 0
         self.requests_served = 0
@@ -217,7 +215,8 @@ class MicroBatcher:
             self._task = asyncio.get_running_loop().create_task(self._drain())
 
     async def stop(self) -> None:
-        """Cancel the drain loop."""
+        """Cancel the drain loop and fail every request still pending (a
+        batch is taken and answered with no ``await`` in between)."""
         if self._task is not None:
             self._task.cancel()
             try:
@@ -225,44 +224,52 @@ class MicroBatcher:
             except asyncio.CancelledError:
                 pass
             self._task = None
+        while self._pending:
+            _, future = self._pending.popleft()
+            if not future.done():
+                future.set_exception(ServingError("micro-batcher stopped"))
 
-    async def submit(self, node_ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Enqueue ``node_ids``; resolves to ``(labels, session version)``."""
+    async def submit(self, node_ids: np.ndarray) -> tuple[np.ndarray, int, str | None]:
+        """Enqueue ``node_ids``; resolves to ``(labels, version, batch)``.
+
+        ``batch`` is the id of the ``serve.batch_predict`` span the request
+        rode in, or ``None`` while tracing is disabled.
+        """
+        if self._task is None:
+            raise ServingError("micro-batcher is not running")
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queue.put((node_ids, future))
+        self._pending.append((node_ids, future))
+        self._arrived.set()
         return await future
 
     async def _drain(self) -> None:
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            pending = int(first[0].size)
-            deadline = perf_counter() + self.window_seconds
-            while pending < self.max_batch:
-                remaining = deadline - perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                batch.append(item)
-                pending += int(item[0].size)
+            await self._arrived.wait()
+            await asyncio.sleep(0)
+            batch = []
+            size = 0
+            while self._pending and size < self.max_batch:
+                batch.append(self._pending.popleft())
+                size += int(batch[-1][0].size)
+            if not self._pending:
+                self._arrived.clear()
             ids = np.concatenate([item[0] for item in batch])
+            batch_span = None
             try:
                 with obs.span(
                     "serve.batch_predict", requests=len(batch), ids=int(ids.size)
-                ):
+                ) as handle:
+                    batch_span = handle.span_id if handle is not None else None
                     session = self.get_session()
                     labels = session.predict(ids)
                     version = session.version
             except Exception:
                 # Isolate the offender: retry each request on its own so a
-                # single bad batch member cannot fail its window-mates.
+                # single bad batch member cannot fail its batch-mates.
                 for request_ids, future in batch:
                     try:
                         session = self.get_session()
-                        result = (session.predict(request_ids), session.version)
+                        result = (session.predict(request_ids), session.version, batch_span)
                     except Exception as exc:
                         if not future.done():
                             future.set_exception(exc)
@@ -276,7 +283,7 @@ class MicroBatcher:
             for request_ids, future in batch:
                 span = int(request_ids.size)
                 if not future.done():
-                    future.set_result((labels[cursor : cursor + span], version))
+                    future.set_result((labels[cursor : cursor + span], version, batch_span))
                 cursor += span
 
     @property
@@ -290,7 +297,6 @@ class MicroBatcher:
                 round(self.requests_served / served, 3) if served else 0.0
             ),
             "max_batch": self.max_batch,
-            "window_seconds": self.window_seconds,
         }
 
 
@@ -304,7 +310,6 @@ class ServingServer:
         host: str = "127.0.0.1",
         port: int = 8765,
         max_batch: int = 256,
-        batch_window_seconds: float = 0.002,
         on_swap=None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         admission_capacity: int = 0,
@@ -338,7 +343,6 @@ class ServingServer:
             # batcher must follow it rather than pin the constructor's one.
             lambda: self.controller.session,
             max_batch=max_batch,
-            window_seconds=batch_window_seconds,
         )
         self._server: asyncio.AbstractServer | None = None
         self._swap_pool = ThreadPoolExecutor(
@@ -378,7 +382,7 @@ class ServingServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, drain the batcher, shut the swap worker down."""
+        """Stop accepting, stop the batcher, shut the swap worker down."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -534,9 +538,10 @@ class ServingServer:
                 "depth": self.admission.depth,
             }
         try:
-            labels, version = await self.batcher.submit(ids)
+            labels, version, batch = await self.batcher.submit(ids)
         finally:
             self.admission.leave()
+        obs.annotate(batch=batch)
         elapsed = perf_counter() - start
         self._latencies.append(elapsed)
         if len(self._latencies) > 100_000:

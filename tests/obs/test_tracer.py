@@ -24,6 +24,9 @@ class TestDisabled:
     def test_event_is_a_noop(self):
         obs.event("nothing.listens", detail=1)  # must not raise
 
+    def test_annotate_is_a_noop(self):
+        obs.annotate(batch="main:1")  # must not raise
+
     def test_traced_function_runs_untouched(self):
         @obs.traced("unit.fn")
         def double(x):
@@ -86,6 +89,15 @@ class TestInstalled:
         inner = next(s for s in tracer.drain_spans() if s.name == "inner")
         assert [e.name for e in inner.events] == ["memo.hit"]
         assert inner.events[0].attrs == {"key": "k"}
+
+    def test_annotate_sets_attrs_on_innermost_open_span(self):
+        tracer = obs.install(obs.Tracer("t-annotate"))
+        with obs.span("outer", kept=1):
+            with obs.span("inner"):
+                obs.annotate(batch="main:9")
+        inner, outer = tracer.drain_spans()
+        assert inner.attrs == {"batch": "main:9"}
+        assert outer.attrs == {"kept": 1}
 
     def test_traced_decorator_records_and_defaults_label(self):
         tracer = obs.install(obs.Tracer("t-deco"))

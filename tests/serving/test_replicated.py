@@ -245,10 +245,7 @@ class TestLivePool:
         worker kill + respawn, and the aggregated /metrics page."""
 
         async def scenario():
-            config = ReplicatedConfig(
-                root=tmp_path, port=0, workers=2, fsync=False,
-                batch_window_seconds=0.001,
-            )
+            config = ReplicatedConfig(root=tmp_path, port=0, workers=2, fsync=False)
             server = ReplicatedServer(
                 make_controller_factory(), config=config,
                 genesis={"dataset": "acm", "scale": 0.12, "seed": 0},

@@ -8,8 +8,10 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.condenser import FreeHGC
 from repro.datasets import load_acm
+from repro.errors import ServingError
 from repro.models.hetero_sgc import HeteroSGC
 from repro.serving import MicroBatcher, ServingController, ServingServer
 from repro.serving.client import HttpClient, request
@@ -40,7 +42,7 @@ async def http(host, port, method, path, payload=None):
 
 def run_with_server(controller, coroutine_factory):
     async def runner():
-        server = ServingServer(controller, port=0, batch_window_seconds=0.001)
+        server = ServingServer(controller, port=0)
         host, port = await server.start()
         try:
             return await coroutine_factory(server, host, port)
@@ -188,12 +190,28 @@ class TestEndpoints:
         assert len(connections) == 1
 
 
+class RecordingSession:
+    """A session stand-in that records the ids of every predict call."""
+
+    def __init__(self, session, on_predict=None):
+        self.session = session
+        self.version = session.version
+        self.calls = []
+        self.on_predict = on_predict
+
+    def predict(self, ids):
+        self.calls.append(ids.tolist())
+        if self.on_predict is not None:
+            self.on_predict(len(self.calls))
+        return self.session.predict(ids)
+
+
 class TestMicroBatcherUnit:
     def test_splits_batch_results_correctly(self, controller):
         session = controller.session
 
         async def scenario():
-            batcher = MicroBatcher(lambda: session, max_batch=64, window_seconds=0.005)
+            batcher = MicroBatcher(lambda: session, max_batch=64)
             batcher.start()
             try:
                 results = await asyncio.gather(
@@ -203,16 +221,124 @@ class TestMicroBatcherUnit:
                 )
             finally:
                 await batcher.stop()
-            return results
+            return results, batcher.stats
 
-        results = asyncio.run(scenario())
-        flat = np.concatenate([labels for labels, _ in results])
+        results, stats = asyncio.run(scenario())
+        assert stats["batches"] == 1 and stats["requests"] == 3
+        flat = np.concatenate([labels for labels, _, _ in results])
         expected = session.predict(np.arange(6))
         assert np.array_equal(flat, expected)
+        # untraced: no batch span to link
+        assert all(batch is None for _, _, batch in results)
+
+    def test_a_submit_one_loop_turn_behind_shares_the_batch(self, controller):
+        session = RecordingSession(controller.session)
+
+        async def scenario():
+            batcher = MicroBatcher(lambda: session)
+            batcher.start()
+
+            async def one_turn_late():
+                await asyncio.sleep(0)
+                return await batcher.submit(np.array([8]))
+
+            try:
+                await asyncio.gather(batcher.submit(np.array([7])), one_turn_late())
+            finally:
+                await batcher.stop()
+
+        asyncio.run(scenario())
+        assert session.calls == [[7, 8]]
+
+    def test_lone_submit_arms_no_timer(self, controller):
+        session = controller.session
+
+        def no_timers(*args, **kwargs):
+            raise AssertionError("the batcher armed a timer")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(lambda: session)
+            batcher.start()
+            loop.call_later = loop.call_at = no_timers
+            try:
+                pending = asyncio.ensure_future(batcher.submit(np.array([7])))
+                # no timeout (it would arm a timer): a drain loop killed by
+                # no_timers ends the wait instead
+                await asyncio.wait(
+                    {pending, batcher._task}, return_when=asyncio.FIRST_COMPLETED
+                )
+            finally:
+                del loop.call_later, loop.call_at
+            assert pending.done(), "the lone submit was not answered"
+            await batcher.stop()
+            labels, version, _ = pending.result()
+            return labels, version
+
+        labels, version = asyncio.run(scenario())
+        assert labels.tolist() == session.predict(np.array([7])).tolist()
+        assert version == session.version
+
+    def test_submits_during_a_batch_ride_the_next_one(self, controller):
+        later = {}
+
+        def submit_more(call):
+            # runs while the first batch computes: these callers enqueue
+            # behind it and must be answered together afterwards
+            if call == 1:
+                later["tasks"] = [
+                    asyncio.ensure_future(batcher.submit(np.array(ids)))
+                    for ids in ([10, 11], [12], [13, 14, 15])
+                ]
+
+        session = RecordingSession(controller.session, submit_more)
+        batcher = MicroBatcher(lambda: session)
+
+        async def scenario():
+            batcher.start()
+            try:
+                first = await batcher.submit(np.array([1]))
+                rest = await asyncio.gather(*later["tasks"])
+            finally:
+                await batcher.stop()
+            return first, rest
+
+        first, rest = asyncio.run(scenario())
+        assert session.calls == [[1], [10, 11, 12, 13, 14, 15]]
+        assert batcher.stats["batches"] == 2
+        assert first[0].tolist() == controller.session.predict(np.array([1])).tolist()
+        for ids, (labels, _, _) in zip(([10, 11], [12], [13, 14, 15]), rest):
+            assert labels.tolist() == controller.session.predict(np.array(ids)).tolist()
+
+    @pytest.mark.parametrize("turns", [1, 2])
+    def test_stop_fails_pending_submits_promptly(self, controller, turns):
+        session = RecordingSession(controller.session)
+
+        async def scenario():
+            batcher = MicroBatcher(lambda: session)
+            batcher.start()
+            pending = [
+                asyncio.ensure_future(batcher.submit(np.array([i]))) for i in range(3)
+            ]
+            # one turn: the drain loop is parked; two: it is yielding
+            # before it takes the batch
+            for _ in range(turns):
+                await asyncio.sleep(0)
+            await batcher.stop()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*pending, return_exceptions=True), 1.0
+            )
+            with pytest.raises(ServingError):
+                await batcher.submit(np.array([0]))
+            return outcomes
+
+        outcomes = asyncio.run(scenario())
+        assert session.calls == []
+        assert all(isinstance(outcome, ServingError) for outcome in outcomes)
 
     def test_errors_propagate_to_submitters(self, controller):
         async def scenario():
-            batcher = MicroBatcher(lambda: controller.session, window_seconds=0.001)
+            batcher = MicroBatcher(lambda: controller.session)
             batcher.start()
             try:
                 with pytest.raises(Exception):
@@ -314,12 +440,25 @@ class TestAdmissionAndMetrics:
     def test_predict_sheds_with_429_beyond_capacity(self, controller):
         async def scenario(server, host, port):
             server.admission.capacity = 1
-            # a wide window holds the first batch open so later arrivals
+            # hold admitted requests ahead of the batcher so later arrivals
             # stack up behind the single admitted slot
-            server.batcher.window_seconds = 0.25
-            results = await asyncio.gather(
+            release = asyncio.Event()
+            submit = server.batcher.submit
+
+            async def held_submit(ids):
+                await release.wait()
+                return await submit(ids)
+
+            server.batcher.submit = held_submit
+            requests = asyncio.gather(
                 *(http(host, port, "POST", "/predict", {"nodes": [i]}) for i in range(12))
             )
+            for _ in range(1000):
+                if server.admission.stats["shed"] >= 11:
+                    break
+                await asyncio.sleep(0.01)
+            release.set()
+            results = await requests
             return results, server.admission.stats
 
         results, stats = run_with_server(controller, scenario)
@@ -351,3 +490,20 @@ class TestAdmissionAndMetrics:
         assert status == 200
         assert payload["admission"]["capacity"] == 0
         assert payload["admission"]["shed"] == 0
+
+
+class TestTracedServer:
+    def test_every_predict_span_names_its_batch_span(self, controller):
+        async def scenario(server, host, port):
+            return await asyncio.gather(
+                *(http(host, port, "POST", "/predict", {"nodes": [i]}) for i in range(8))
+            )
+
+        with obs.tracing("t-batch-link") as tracer:
+            results = run_with_server(controller, scenario)
+        assert [status for status, _ in results] == [200] * 8
+        spans = tracer.drain_spans()
+        batches = {s.span_id for s in spans if s.name == "serve.batch_predict"}
+        predicts = [s for s in spans if s.name == "serve.predict"]
+        assert len(predicts) == 8
+        assert all(s.attrs["batch"] in batches for s in predicts)
