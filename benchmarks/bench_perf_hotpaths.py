@@ -1,17 +1,19 @@
 """Hot-path micro-benchmarks with a vectorized-vs-reference correctness gate.
 
-Times the three condensation hot paths — greedy receptive-field coverage,
-meta-path Jaccard similarity, and personalised PageRank — on a scaled
-synthetic heterogeneous graph (``REPRO_BENCH_SCALE``), comparing the
-vectorized kernels against their scalar reference implementations, and
-writes the machine-readable trajectory file ``BENCH_perf_hotpaths.json``.
+Times the four condensation hot paths — greedy receptive-field coverage,
+meta-path composition, meta-path Jaccard similarity, and personalised
+PageRank — on a scaled synthetic heterogeneous graph
+(``REPRO_BENCH_SCALE``), comparing the vectorized kernels against their
+reference implementations, and writes the machine-readable trajectory file
+``BENCH_perf_hotpaths.json``.
 
 Two gates run on every invocation:
 
 * **correctness** — kernel outputs must match the reference byte-for-byte
-  (selection, gains, covered counts; similarity scores to 1e-10; PPR to a
-  dense linear solve at small scales).  Any divergence exits non-zero, so
-  the CI ``perf-smoke`` job fails.
+  (selection, gains, covered counts; composed pattern and packed words;
+  similarity scores to 1e-10; PPR to a dense linear solve at small
+  scales).  Any divergence exits non-zero, so the CI ``perf-smoke`` job
+  fails.
 * **speedup** — at full scale (candidate pools ≥ 2 000 nodes) the default
   coverage kernel must be at least 5× faster than the scalar reference.
   The gate is skipped at smaller scales, where timings are all noise: CI
@@ -53,7 +55,7 @@ from repro.core.receptive_field import greedy_max_coverage
 from repro.core.similarity import metapath_similarity_scores
 from repro.datasets.base import NodeTypeSpec, RelationSpec, SyntheticHINConfig
 from repro.datasets.generators import generate_hin
-from repro.hetero.sparse import symmetric_normalize
+from repro.hetero.sparse import boolean_csr, canonical_pattern, symmetric_normalize
 
 import scipy.sparse as sp
 
@@ -203,6 +205,63 @@ def bench_similarity(context: CondensationContext, errors: list[str]) -> list[di
     ]
 
 
+def _reference_composition(hops: list[sp.csr_matrix]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Pre-optimisation composition: in-place ``sum_duplicates`` on the
+    product, then packing with one ``np.bitwise_or.at`` scatter."""
+    product = hops[0]
+    for hop in hops[1:]:
+        product = (product @ hop).tocsr()
+    product.sum_duplicates()
+    product.data = np.ones_like(product.data)
+    n_rows, n_cols = product.shape
+    n_words = max(1, (n_cols + 63) // 64)
+    words = np.zeros((n_rows, n_words), dtype=np.uint64)
+    columns = product.indices.astype(np.int64)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(product.indptr))
+    bits = np.uint64(1) << (columns & 63).astype(np.uint64)
+    np.bitwise_or.at(words.reshape(-1), rows * n_words + (columns >> 6), bits)
+    return product, words
+
+
+def _composition(hops: list[sp.csr_matrix]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The same product through ``canonical_pattern`` and packbits packing."""
+    product = hops[0]
+    for hop in hops[1:]:
+        product = (product @ hop).tocsr()
+    product = canonical_pattern(product)
+    return product, PackedAdjacency.from_csr(product).words
+
+
+def bench_composition(context: CondensationContext, errors: list[str]) -> list[dict]:
+    """Meta-path composition (Eq. 1): product, canonicalise, pack words."""
+    graph = context.graph
+    path = max(context.metapaths(), key=lambda p: (p.length, str(p)))
+    hops = [boolean_csr(graph.typed_adjacency(src, dst)) for src, dst in path.hops()]
+    ref_s, (ref_pattern, ref_words) = _best_of(lambda: _reference_composition(hops))
+    fast_s, (pattern, words) = _best_of(lambda: _composition(hops))
+    identical = (
+        pattern.has_canonical_format
+        and np.array_equal(pattern.indptr, ref_pattern.indptr)
+        and np.array_equal(pattern.indices, ref_pattern.indices)
+        and np.array_equal(pattern.data, ref_pattern.data)
+        and np.array_equal(words, ref_words)
+    )
+    if not identical:
+        errors.append(f"meta-path composition diverges from reference on {path}")
+    return [
+        {
+            "kernel": "metapath_composition",
+            "case": f"{path} ({pattern.nnz} entries)",
+            "pool": int(pattern.shape[0]),
+            "budget": "",
+            "reference_s": round(ref_s, 5),
+            "vectorized_s": round(fast_s, 5),
+            "speedup": round(ref_s / max(fast_s, 1e-9), 2),
+            "identical": identical,
+        }
+    ]
+
+
 def bench_pagerank(context: CondensationContext, errors: list[str]) -> list[dict]:
     graph = context.graph
     path = next(p for p in context.metapaths() if p.end == "author")
@@ -319,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     errors: list[str] = []
     rows = (
         bench_coverage(context, errors)
+        + bench_composition(context, errors)
         + bench_similarity(context, errors)
         + bench_pagerank(context, errors)
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.hetero.sparse import cached_csc, validate_attribute_caches
+from repro.hetero.sparse import cached_csc, canonical_pattern, validate_attribute_caches
 
 __all__ = [
     "CoverageResult",
@@ -99,15 +99,56 @@ def _empty_result() -> CoverageResult:
 # --------------------------------------------------------------------------- #
 # Packed representation
 # --------------------------------------------------------------------------- #
+#: bits per packing pass: the boolean mask behind them is at most 8 MiB
+PACK_CHUNK_BITS = 8 << 20
+
+
+def _pack_into(
+    out: np.ndarray, indptr: np.ndarray, indices: np.ndarray, row_bits: int
+) -> None:
+    """Set bit ``row * row_bits + col`` of the flat word array ``out`` for
+    every stored entry of the CSR structure ``(indptr, indices)``.
+
+    Works through the bit range in chunks of whole rows (a single row is
+    split only when it alone exceeds :data:`PACK_CHUNK_BITS`).  Each chunk's
+    entries are scattered into one reused boolean mask, which
+    ``np.packbits`` folds into little-endian words; chunks without entries
+    are skipped, their words stay zero.  Duplicate and unsorted column
+    indices set the same bits, so the result is the stored pattern as a set.
+    """
+    n_rows = indptr.size - 1
+    total_bits = n_rows * row_bits
+    if row_bits <= PACK_CHUNK_BITS:
+        chunk_bits = min(PACK_CHUNK_BITS // row_bits, n_rows) * row_bits
+    else:
+        chunk_bits = PACK_CHUNK_BITS  # a multiple of 64: chunks end on words
+    mask = np.zeros(chunk_bits, dtype=bool)
+    for first in range(0, total_bits, chunk_bits):
+        size = min(chunk_bits, total_bits - first)
+        row_lo, row_hi = first // row_bits, (first + size - 1) // row_bits + 1
+        lo, hi = int(indptr[row_lo]), int(indptr[row_hi])
+        if lo == hi:
+            continue
+        row_start = np.arange(row_lo, row_hi, dtype=np.int64) * row_bits - first
+        positions = np.repeat(row_start, np.diff(indptr[row_lo : row_hi + 1])) + indices[lo:hi]
+        if row_bits > chunk_bits:  # drop the parts of rows outside this chunk
+            positions = positions[(positions >= 0) & (positions < size)]
+        mask[positions] = True
+        out[first // 64 : (first + size) // 64] = np.packbits(
+            mask[:size], bitorder="little"
+        ).view("<u8")
+        mask[positions] = False
+
+
 class PackedAdjacency:
     """Bit-packed boolean adjacency: row ``i``'s receptive field as uint64 words.
 
     ``words`` has shape ``(n_rows, ceil(n_cols / 64))``; bit ``j`` of the
     row is bit ``j % 64`` of word ``j // 64`` (little-endian bit order, the
-    layout ``np.packbits(..., bitorder="little")`` would produce).  Packing
-    is itself vectorized — one ``np.bitwise_or.at`` scatter over the CSR
-    index array — so building the packed form costs milliseconds even for
-    graphs with millions of edges.
+    layout ``np.packbits(..., bitorder="little")`` produces).  Packing is
+    vectorized: the stored entries are scattered into a boolean bit mask,
+    which ``np.packbits`` folds into words, a chunk of at most
+    :data:`PACK_CHUNK_BITS` bits at a time.
     """
 
     __slots__ = ("shape", "words", "source")
@@ -132,13 +173,7 @@ class PackedAdjacency:
         n_words = max(1, (n_cols + 63) // 64)
         words = np.zeros((n_rows, n_words), dtype=np.uint64)
         if csr.nnz:
-            columns = csr.indices.astype(np.int64)
-            rows = np.repeat(
-                np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr).astype(np.int64)
-            )
-            flat = rows * n_words + (columns >> 6)
-            bits = np.uint64(1) << (columns & 63).astype(np.uint64)
-            np.bitwise_or.at(words.reshape(-1), flat, bits)
+            _pack_into(words.reshape(-1), csr.indptr, csr.indices, n_words * 64)
         return cls(words, (n_rows, n_cols), source=csr)
 
     @classmethod
@@ -172,9 +207,15 @@ class PackedAdjacency:
         """A fresh all-zero cover vector (one uint64 word row)."""
         return np.zeros(self.num_words, dtype=np.uint64)
 
-    def row_sizes(self, rows: np.ndarray) -> np.ndarray:
-        """Receptive-field size of each row in ``rows``."""
+    def row_sizes(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Receptive-field size of each row in ``rows`` (default: every row)."""
         return bit_count(self.words[rows]).sum(axis=1, dtype=np.int64)
+
+    def intersection_sizes(
+        self, other: "PackedAdjacency", rows: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """``|row ∩ other's row|`` for each row in ``rows``: popcount of the AND."""
+        return bit_count(self.words[rows] & other.words[rows]).sum(axis=1, dtype=np.int64)
 
     def marginal_gains(self, rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
         """``popcount(row & ~covered)`` for every row in ``rows`` at once."""
@@ -363,8 +404,9 @@ def greedy_max_coverage_decremental(
 
     Like the packed kernels, duplicate column entries count once (set
     semantics).  Matrices produced by this library are always canonical;
-    a non-canonical input is canonicalised on a private copy (the caller's
-    matrix is never mutated), at the cost of the CSC cache.
+    a non-canonical input is canonicalised on a private copy
+    (:func:`~repro.hetero.sparse.canonical_pattern`; the caller's matrix is
+    never mutated), at the cost of the CSC cache.
     """
     pool = np.asarray(pool, dtype=np.int64)
     budget = int(min(budget, pool.size))
@@ -379,8 +421,7 @@ def greedy_max_coverage_decremental(
         # input, so e.g. unsorted matmul products pay the sort once.
         canonical = getattr(adjacency, "_repro_canonical", None)
         if canonical is None:
-            canonical = adjacency.copy()
-            canonical.sum_duplicates()
+            canonical = canonical_pattern(adjacency)
             try:
                 adjacency._repro_canonical = canonical
             except AttributeError:  # pragma: no cover - csr accepts attrs

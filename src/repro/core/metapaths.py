@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from repro.errors import SchemaError
 from repro.hetero.graph import HeteroGraph
 from repro.hetero.schema import HeteroSchema
-from repro.hetero.sparse import boolean_csr, row_normalize
+from repro.hetero.sparse import boolean_csr, canonical_pattern, row_normalize
 
 __all__ = ["MetaPath", "enumerate_metapaths", "metapath_adjacency", "metapaths_to_type"]
 
@@ -176,11 +176,8 @@ def metapath_adjacency(
     assert result is not None
     if not normalize:
         # Canonicalise the product once at build time (sparse matmul output
-        # has unsorted indices): the coverage kernels, the Jaccard products
+        # has unsorted indices): the coverage kernels, the Jaccard terms
         # and the streaming row-diff all want canonical CSR, and doing it
         # here means none of them pays for a private sorted copy.
-        if not result.has_canonical_format:
-            result.sum_duplicates()
-        result = boolean_csr(result)
-        result.has_canonical_format = True  # binarising preserved the pattern
+        result = canonical_pattern(result)
     return result

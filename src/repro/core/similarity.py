@@ -8,9 +8,11 @@ meta-path and its neighbour sets under all other related meta-paths
 (Eq. 5–6); the selection criterion then adds the complement ``1 − Ĵ`` as a
 diversity bonus (Eq. 8).
 
-All pairwise intersections are computed with sparse matrix products, so the
-cost is proportional to the number of stored meta-path edges rather than
-``n²``.
+Every pairwise intersection is a popcount over the bit-packed receptive
+fields (:class:`~repro.core.coverage_kernels.PackedAdjacency`) that the
+coverage kernels already cache on each adjacency: ``|N_a(v) ∩ N_b(v)|`` is
+``popcount(words_a[v] & words_b[v])`` and the set sizes come from the same
+words, so duplicate stored entries count once, as Eq. 4 requires.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.coverage_kernels import PackedAdjacency
 from repro.hetero.sparse import boolean_csr
 
 __all__ = ["pairwise_jaccard", "metapath_similarity_scores", "jaccard_between_sets"]
@@ -31,16 +34,21 @@ def jaccard_between_sets(first: set[int], second: set[int]) -> float:
     return len(first & second) / union
 
 
-def _row_jaccard(
-    a: sp.csr_matrix,
-    b: sp.csr_matrix,
-    size_a: np.ndarray,
-    size_b: np.ndarray,
+def packed_sets(adjacency: sp.spmatrix) -> PackedAdjacency:
+    """The packed neighbour sets of ``adjacency``, cached on the matrix.
+
+    Boolean CSR input (everything the condensation context serves) is
+    packed as-is, so the words are the ones the coverage kernels use.
+    """
+    return PackedAdjacency.from_csr_cached(boolean_csr(adjacency))
+
+
+def row_jaccard(
+    intersection: np.ndarray, size_a: np.ndarray, size_b: np.ndarray
 ) -> np.ndarray:
-    """Per-row Jaccard of two *already boolean* CSR matrices, sizes given."""
-    intersection = np.asarray(a.multiply(b).sum(axis=1)).ravel()
+    """Per-row Jaccard from intersection and set sizes; an empty union is 1."""
     union = size_a + size_b - intersection
-    result = np.ones(a.shape[0], dtype=np.float64)
+    result = np.ones(intersection.shape[0], dtype=np.float64)
     nonzero = union > 0
     result[nonzero] = intersection[nonzero] / union[nonzero]
     return result
@@ -53,27 +61,24 @@ def pairwise_jaccard(
 
     Row ``v`` of the result is ``J(N_a(v), N_b(v))`` (Eq. 5 evaluated per
     node).  Rows with an empty union are defined to have similarity 1, as in
-    the paper ("we say J = 1 if the union is empty").  Inputs that are
-    already boolean CSR are used as-is (``boolean_csr`` skips the copy).
+    the paper ("we say J = 1 if the union is empty").  Neighbour sets are
+    sets: a column stored twice in a row counts once.
     """
     if adjacency_a.shape != adjacency_b.shape:
         raise ValueError(
             f"adjacency shapes differ: {adjacency_a.shape} vs {adjacency_b.shape}"
         )
-    a = boolean_csr(adjacency_a)
-    b = boolean_csr(adjacency_b)
-    size_a = np.asarray(a.sum(axis=1)).ravel()
-    size_b = np.asarray(b.sum(axis=1)).ravel()
-    return _row_jaccard(a, b, size_a, size_b)
+    a, b = packed_sets(adjacency_a), packed_sets(adjacency_b)
+    return row_jaccard(a.intersection_sizes(b), a.row_sizes(), b.row_sizes())
 
 
 def metapath_similarity_scores(adjacencies: list[sp.csr_matrix]) -> np.ndarray:
     """Per-node, per-meta-path normalised similarity ``Ĵ`` (Eq. 6).
 
-    Each adjacency is binarised at most once (a no-op for the already
-    boolean matrices the condensation context serves), row sizes are
-    materialised once per meta-path, and every unordered pair is multiplied
-    once — ``J`` is symmetric, so the pair's similarity feeds both columns.
+    Each adjacency's packed words are built at most once (and shared with
+    the coverage kernels), row sizes are counted once per meta-path, and
+    every unordered pair is intersected once — ``J`` is symmetric, so the
+    pair's similarity feeds both columns.
 
     Parameters
     ----------
@@ -101,12 +106,14 @@ def metapath_similarity_scores(adjacencies: list[sp.csr_matrix]) -> np.ndarray:
             raise ValueError(
                 f"adjacency shapes differ: {adjacencies[0].shape} vs {adjacency.shape}"
             )
-    boolean = [boolean_csr(adjacency) for adjacency in adjacencies]
-    sizes = [np.asarray(matrix.sum(axis=1)).ravel() for matrix in boolean]
+    packed = [packed_sets(adjacency) for adjacency in adjacencies]
+    sizes = [words.row_sizes() for words in packed]
     scores = np.zeros((num_nodes, num_paths), dtype=np.float64)
     for i in range(num_paths):
         for j in range(i + 1, num_paths):
-            similarity = _row_jaccard(boolean[i], boolean[j], sizes[i], sizes[j])
+            similarity = row_jaccard(
+                packed[i].intersection_sizes(packed[j]), sizes[i], sizes[j]
+            )
             scores[:, i] += similarity
             scores[:, j] += similarity
     scores /= num_paths - 1

@@ -18,6 +18,7 @@ __all__ = [
     "row_normalize",
     "symmetric_normalize",
     "boolean_csr",
+    "canonical_pattern",
     "compose_path",
     "degree_vector",
     "sparse_storage_bytes",
@@ -209,6 +210,48 @@ def boolean_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
         setattr(matrix, _BOOLEAN_CACHE_ATTR, result)
     except AttributeError:  # plain ndarrays cannot carry the cache
         pass
+    return result
+
+
+def canonical_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """The boolean canonical CSR of ``matrix``'s stored pattern.
+
+    Rows come out with sorted, duplicate-free column indices, every stored
+    value is 1.0 and ``has_canonical_format`` is set — the form the
+    coverage kernels, the Jaccard terms and the streaming row-diff expect.
+    Each stored entry becomes the flat key ``row * n_cols + col`` (int32
+    while ``n_rows * n_cols < 2**31``, int64 beyond), one ``ndarray.sort``
+    orders them all, and subtracting the row base turns the sorted keys back
+    into column indices: the sort never moves an entry to another row.
+    Already-canonical input is only binarised (:func:`boolean_csr`, which
+    returns a boolean float CSR as-is); the input is never mutated.
+    """
+    csr = matrix.tocsr()
+    if csr.has_canonical_format:
+        result = boolean_csr(csr)
+        result.has_canonical_format = True
+        return result
+    n_rows, n_cols = csr.shape
+    key_dtype = np.int32 if n_rows * n_cols < 2**31 else np.int64
+    row_base = np.repeat(
+        np.arange(n_rows, dtype=key_dtype) * key_dtype(n_cols), np.diff(csr.indptr)
+    )
+    keys = row_base + csr.indices.astype(key_dtype, copy=False)
+    keys.sort()
+    indptr = csr.indptr.copy()  # never share a buffer with the input
+    if keys.size > 1:
+        distinct = np.empty(keys.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        if not distinct.all():
+            kept_before = np.concatenate(([0], np.cumsum(distinct, dtype=np.int64)))
+            indptr = kept_before[indptr]
+            keys, row_base = keys[distinct], row_base[distinct]
+    keys -= row_base
+    result = sp.csr_matrix(
+        (np.ones(keys.size, dtype=np.float64), keys, indptr), shape=csr.shape
+    )
+    result.has_canonical_format = True
     return result
 
 

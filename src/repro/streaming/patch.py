@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from repro.core.coverage_kernels import PackedAdjacency
 from repro.core.metapaths import MetaPath
 from repro.hetero.graph import HeteroGraph
-from repro.hetero.sparse import boolean_csr, validate_attribute_caches
+from repro.hetero.sparse import boolean_csr, canonical_pattern, validate_attribute_caches
 
 __all__ = [
     "compose_rows",
@@ -64,12 +64,7 @@ def compose_rows(
                 hop_cache[(src, dst)] = hop
         block = hop[rows] if block is None else (block @ hop).tocsr()
     assert block is not None
-    if not block.has_canonical_format:
-        block.sum_duplicates()
-    if block.nnz:
-        block.data = np.ones_like(block.data)
-    block.has_canonical_format = True
-    return block
+    return canonical_pattern(block)
 
 
 def mismatched_row_positions(

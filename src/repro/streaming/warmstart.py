@@ -42,6 +42,8 @@ from repro.core.coverage_kernels import (
 )
 from repro.core.metapaths import MetaPath
 from repro.core.receptive_field import greedy_max_coverage
+from repro.core.similarity import packed_sets, row_jaccard
+from repro.hetero.sparse import canonical_pattern
 
 __all__ = ["SelectionMemo", "changed_rows", "warm_start_coverage"]
 
@@ -51,18 +53,14 @@ def changed_rows(old: sp.csr_matrix, new: sp.csr_matrix) -> np.ndarray:
 
     Supports row growth (new rows are reported as changed); the column count
     may also grow — a column index present in neither pattern cannot affect
-    equality.  Patterns are compared with set semantics, so both inputs must
-    have sorted, duplicate-free indices (everything the meta-path machinery
-    produces is canonical; non-canonical inputs are sorted on a copy).
+    equality.  Patterns are compared with set semantics: both inputs go
+    through :func:`~repro.hetero.sparse.canonical_pattern`, which returns
+    the canonical matrices the meta-path machinery produces as they are and
+    sorts any other input on a copy.
     """
     from repro.streaming.patch import mismatched_row_positions
 
-    if not old.has_canonical_format:
-        old = old.copy()
-        old.sum_duplicates()
-    if not new.has_canonical_format:
-        new = new.copy()
-        new.sum_duplicates()
+    old, new = canonical_pattern(old), canonical_pattern(new)
     n_common = min(old.shape[0], new.shape[0])
     common = np.arange(n_common, dtype=np.int64)
     dirty_parts = [mismatched_row_positions(old, common, new, common)]
@@ -357,8 +355,6 @@ class SelectionMemo:
         only the dirty entries are recounted — before the identical
         accumulation.
         """
-        from repro.hetero.sparse import boolean_csr
-
         slot = self._groups.get(end_type)
         if (
             slot is not None
@@ -375,7 +371,7 @@ class SelectionMemo:
             and len(slot.adjacencies) == num_paths
             and all(a.shape == b.shape for a, b in zip(slot.adjacencies, adjacencies))
         )
-        boolean = [boolean_csr(adjacency) for adjacency in adjacencies]
+        packed = [packed_sets(adjacency) for adjacency in adjacencies]
         dirty: list[np.ndarray | None] = [None] * num_paths
         sizes: list[np.ndarray] = []
         for position in range(num_paths):
@@ -385,12 +381,12 @@ class SelectionMemo:
                 rows = self._changed_rows_cached(old, new)
                 dirty[position] = rows
                 patched_sizes = slot.sizes[position].copy()
-                patched_sizes[rows] = np.diff(new.indptr).astype(np.float64)[rows]
+                patched_sizes[rows] = packed[position].row_sizes(rows)
                 sizes.append(patched_sizes)
             elif patchable:
                 sizes.append(slot.sizes[position])
             else:
-                sizes.append(np.asarray(boolean[position].sum(axis=1)).ravel())
+                sizes.append(packed[position].row_sizes())
 
         scores = np.zeros((num_nodes, num_paths), dtype=np.float64)
         pair_sims: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -407,24 +403,15 @@ class SelectionMemo:
                     ).astype(np.int64)
                     intersection, similarity = previous[0].copy(), previous[1].copy()
                     if rows.size:
-                        block = boolean[i][rows].multiply(boolean[j][rows])
-                        intersection[rows] = np.asarray(block.sum(axis=1)).ravel()
-                        union = sizes[i][rows] + sizes[j][rows] - intersection[rows]
-                        patched = np.ones(rows.size, dtype=np.float64)
-                        positive = union > 0
-                        patched[positive] = intersection[rows][positive] / union[positive]
-                        similarity[rows] = patched
+                        intersection[rows] = packed[i].intersection_sizes(packed[j], rows)
+                        similarity[rows] = row_jaccard(
+                            intersection[rows], sizes[i][rows], sizes[j][rows]
+                        )
                     self.stats["pair_hits"] += 1
                 else:
-                    # Inline _row_jaccard so the intersection counts can be
-                    # kept for future patching (identical operations).
-                    intersection = np.asarray(
-                        boolean[i].multiply(boolean[j]).sum(axis=1)
-                    ).ravel()
-                    union = sizes[i] + sizes[j] - intersection
-                    similarity = np.ones(num_nodes, dtype=np.float64)
-                    positive = union > 0
-                    similarity[positive] = intersection[positive] / union[positive]
+                    # The intersection counts are kept for future patching.
+                    intersection = packed[i].intersection_sizes(packed[j])
+                    similarity = row_jaccard(intersection, sizes[i], sizes[j])
                 pair_sims[(i, j)] = (intersection, similarity)
                 scores[:, i] += similarity
                 scores[:, j] += similarity

@@ -109,6 +109,21 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             pairwise_jaccard(sp.csr_matrix((2, 3)), sp.csr_matrix((2, 4)))
 
+    def test_jaccard_counts_a_repeated_column_once(self):
+        # Eq. 4 is defined on sets: a column stored twice is one neighbour.
+        repeated = sp.csr_matrix(
+            (np.ones(3), np.array([0, 0, 1]), np.array([0, 3])), shape=(1, 4)
+        )
+        plain = sp.csr_matrix(
+            (np.ones(2), np.array([0, 1]), np.array([0, 2])), shape=(1, 4)
+        )
+        assert not repeated.has_canonical_format
+        np.testing.assert_array_equal(pairwise_jaccard(repeated, repeated), [1.0])
+        np.testing.assert_array_equal(pairwise_jaccard(repeated, plain), [1.0])
+        np.testing.assert_array_equal(
+            metapath_similarity_scores([repeated, plain, repeated]), [[1.0, 1.0, 1.0]]
+        )
+
     def test_similarity_scores_shape(self):
         matrices = [toy_coverage_matrix(), toy_coverage_matrix()]
         scores = metapath_similarity_scores(matrices)
