@@ -168,7 +168,7 @@ class TestCoverageKernelEquivalence:
     @given(boolean_matrices(max_rows=12, max_cols=20), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
     def test_similarity_scores_symmetric_pair_rewrite(self, matrix, copies):
-        """The single-multiply-per-pair rewrite equals the naive double loop."""
+        """One intersection per unordered pair equals the naive double loop."""
         rng = np.random.default_rng(matrix.nnz)
         adjacencies = [matrix]
         for _ in range(copies - 1):
