@@ -31,6 +31,7 @@ entry counts once here but is double-counted by the reference's
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,7 @@ class PackedAdjacency:
     :data:`PACK_CHUNK_BITS` bits at a time.
     """
 
-    __slots__ = ("shape", "words", "source")
+    __slots__ = ("shape", "words", "_source")
 
     def __init__(
         self,
@@ -161,9 +162,33 @@ class PackedAdjacency:
     ) -> None:
         self.words = words
         self.shape = (int(shape[0]), int(shape[1]))
-        #: the CSR matrix the bits were packed from (lets the decremental
-        #: kernel reuse its inverted index); None for hand-built words
         self.source = source
+
+    @property
+    def source(self) -> sp.csr_matrix | None:
+        """The CSR matrix the bits were packed from (lets the decremental
+        kernel reuse its inverted index); None for hand-built words."""
+        source = self._source
+        return source() if isinstance(source, weakref.ref) else source
+
+    @source.setter
+    def source(self, matrix: sp.csr_matrix | None) -> None:
+        self._source = matrix
+
+    def cache_on(self, csr: sp.csr_matrix) -> "PackedAdjacency":
+        """Attach these words to their source ``csr`` (``_repro_packed``).
+
+        The reference back to ``csr`` becomes weak: ``csr`` owns the words,
+        and a strong back reference would make the pair a cycle, left with
+        its words to the cycle collector once the adjacency is dropped.
+        """
+        validate_attribute_caches(csr)
+        self._source = weakref.ref(csr)
+        try:
+            csr._repro_packed = self
+        except AttributeError:  # pragma: no cover - csr accepts attrs
+            pass
+        return self
 
     @classmethod
     def from_csr(cls, matrix: sp.spmatrix | np.ndarray) -> "PackedAdjacency":
@@ -191,11 +216,7 @@ class PackedAdjacency:
         validate_attribute_caches(csr)
         cached = getattr(csr, "_repro_packed", None)
         if cached is None:
-            cached = cls.from_csr(csr)
-            try:
-                csr._repro_packed = cached
-            except AttributeError:  # pragma: no cover - csr accepts attrs
-                pass
+            cached = cls.from_csr(csr).cache_on(csr)
         return cached
 
     @property

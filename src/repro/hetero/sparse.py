@@ -93,6 +93,10 @@ def symmetric_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
 #: attribute under which the shared binarised form is cached on a CSR matrix
 _BOOLEAN_CACHE_ATTR = "_repro_boolean_csr"
 
+#: the cached value on a matrix that is its own binarised form: a reference
+#: to itself would leave every such matrix to the cycle collector
+_IS_BOOLEAN = True
+
 #: attribute holding the fingerprint the derived caches below were built for
 _CACHE_TOKEN_ATTR = "_repro_cache_token"
 
@@ -191,6 +195,8 @@ def boolean_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     if sp.issparse(matrix):
         validate_attribute_caches(matrix)
     cached = getattr(matrix, _BOOLEAN_CACHE_ATTR, None)
+    if cached is _IS_BOOLEAN:
+        return matrix
     if cached is not None:
         return cached
     if (
@@ -199,13 +205,13 @@ def boolean_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
         and matrix.dtype == np.float64
         and (matrix.nnz == 0 or bool((matrix.data == 1.0).all()))
     ):
-        setattr(matrix, _BOOLEAN_CACHE_ATTR, matrix)
+        setattr(matrix, _BOOLEAN_CACHE_ATTR, _IS_BOOLEAN)
         return matrix
     result = to_csr(matrix).copy()
     if result.nnz:
         result.data = np.ones_like(result.data)
     validate_attribute_caches(result)  # stamp the fresh object's fingerprint
-    setattr(result, _BOOLEAN_CACHE_ATTR, result)
+    setattr(result, _BOOLEAN_CACHE_ATTR, _IS_BOOLEAN)
     try:
         setattr(matrix, _BOOLEAN_CACHE_ATTR, result)
     except AttributeError:  # plain ndarrays cannot carry the cache

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from repro.core.coverage_kernels import PackedAdjacency
 from repro.core.metapaths import MetaPath
 from repro.hetero.graph import HeteroGraph
-from repro.hetero.sparse import boolean_csr, canonical_pattern, validate_attribute_caches
+from repro.hetero.sparse import boolean_csr, canonical_pattern
 
 __all__ = [
     "compose_rows",
@@ -192,13 +192,7 @@ def patched_packed(
     words = old_packed.words.copy()
     if rows.size:
         words[rows] = PackedAdjacency.from_csr(new[rows]).words
-    packed = PackedAdjacency(words, new.shape, source=new)
-    validate_attribute_caches(new)  # stamp the fresh object's fingerprint
-    try:
-        new._repro_packed = packed
-    except AttributeError:  # pragma: no cover - csr accepts attrs
-        pass
-    return packed
+    return PackedAdjacency(words, new.shape).cache_on(new)
 
 
 def _rows_reaching(matrix: sp.csr_matrix, columns: np.ndarray) -> np.ndarray:

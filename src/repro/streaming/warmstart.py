@@ -28,6 +28,7 @@ kernel loop.  The property suite verifies this on randomly perturbed graphs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,8 +250,8 @@ class SelectionMemo:
             "pair_hits": 0,
         }
         #: (old, new) object pairs -> changed rows, shared by the coverage
-        #: warm start and the pair-Jaccard patching
-        self._dirty_cache: dict[tuple[int, int], tuple[object, object, np.ndarray]] = {}
+        #: warm start and the pair-Jaccard patching; the pair is held weakly
+        self._dirty_cache: dict[tuple[int, int], tuple[weakref.ref, weakref.ref, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -331,15 +332,21 @@ class SelectionMemo:
 
     # ------------------------------------------------------------------ #
     def _changed_rows_cached(self, old: sp.csr_matrix, new: sp.csr_matrix):
-        """Memoized :func:`changed_rows` keyed by the object pair."""
+        """Memoized :func:`changed_rows` keyed by the object pair.
+
+        Entries reference the pair weakly, so a superseded adjacency — with
+        the packed words, CSC and PPR operator cached on it — is freed as
+        soon as the memo slots let go of it rather than pinned here until
+        the cache fills: memory stays flat over any number of steps.
+        """
         key = (id(old), id(new))
         hit = self._dirty_cache.get(key)
-        if hit is not None and hit[0] is old and hit[1] is new:
+        if hit is not None and hit[0]() is old and hit[1]() is new:
             return hit[2]
         if len(self._dirty_cache) > 64:
             self._dirty_cache.clear()
         rows = changed_rows(old, new)
-        self._dirty_cache[key] = (old, new, rows)
+        self._dirty_cache[key] = (weakref.ref(old), weakref.ref(new), rows)
         return rows
 
     def group_similarity(
